@@ -5,7 +5,8 @@ One registry, three views:
 * :func:`snapshot` / :func:`to_json` / :func:`from_json` — a structured,
   machine-readable dict (what ``--metrics-json`` writes next to benchmark
   results); the JSON round trip is lossless for counters/gauges and keeps
-  histogram headline stats (count/sum/max/mean + percentiles);
+  histogram headline stats (count/sum/max/mean + percentiles) and, with
+  samples, each histogram's mergeable bucket ``state``;
 * :func:`prometheus_text` — the Prometheus text exposition format
   (histograms become summaries with ``quantile`` labels), so a real
   scraper could be pointed at a deployment with no code changes;
@@ -20,7 +21,7 @@ from typing import Optional
 
 from repro.metrics.registry import MetricsRegistry
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: percentiles exported for every histogram
 PERCENTILES = (50.0, 90.0, 99.0)
@@ -34,16 +35,16 @@ def snapshot(registry: MetricsRegistry, meta: Optional[dict] = None,
              include_samples: bool = False) -> dict:
     """Structured snapshot of every metric in ``registry``.
 
-    With ``include_samples`` each histogram additionally carries its raw
-    reservoir samples, which makes the snapshot *mergeable*: percentiles
-    of a merged snapshot are recomputed from the pooled samples instead
-    of being averaged (see :func:`merge_snapshots`). Server processes
-    emit sample-carrying snapshots on exit for exactly this reason.
-    Sample-carrying snapshots also ship the sliding-window state —
-    counters' per-second ``buckets`` and histograms' timestamped
-    ``recent`` observations — so windowed views (:func:`windows`,
+    With ``include_samples`` each histogram additionally carries its
+    :meth:`~repro.metrics.registry.HistogramMetric.state` — the per-second
+    log-linear bucket vectors — under ``state``, which makes the
+    snapshot *mergeable*: vectors add, so percentiles of a merged
+    snapshot equal those of one registry that saw every observation
+    (see :func:`merge_snapshots`). Server processes emit sample-carrying
+    snapshots on exit for exactly this reason. Counters likewise ship
+    their per-second ``buckets``, so windowed views (:func:`windows`,
     ``repro top``) survive the snapshot → registry round trip and merge
-    across processes (the buckets are wall-clock stamped).
+    across processes (both are wall-clock stamped).
     """
     counters = []
     for c in registry.counters():
@@ -72,13 +73,7 @@ def snapshot(registry: MetricsRegistry, meta: Optional[dict] = None,
                             for p, v in ps.items()},
         }
         if include_samples:
-            entry["samples"] = h.sample_values()
-            recent = h.recent_samples()
-            if recent:
-                entry["recent"] = [[t, v] for t, v in recent]
-            buckets = h.window_buckets()
-            if buckets:
-                entry["buckets"] = buckets
+            entry["state"] = h.state()
         histograms.append(entry)
     key = lambda m: (m["name"], sorted(m["labels"].items()))  # noqa: E731
     result = {
@@ -120,11 +115,11 @@ def registry_from_snapshot(data: dict) -> MetricsRegistry:
     """Rebuild a registry from a parsed snapshot.
 
     Counters and gauges round-trip exactly. Histograms rebuild from the
-    snapshot's reservoir ``samples`` when present (sample-carrying
-    snapshots, the mergeable kind); count/sum/max stay exact either way,
-    but a sample-less snapshot yields empty percentiles. Window state
-    (``buckets``/``recent``) restores through the window-safe merge
-    paths, so rebuilding never replays old traffic as new.
+    snapshot's ``state`` when present (sample-carrying snapshots, the
+    mergeable kind); count/sum/max stay exact either way, but a
+    sample-less snapshot yields empty percentiles. Window state restores
+    through the window-safe merge paths, so rebuilding never replays old
+    traffic as new.
     """
     registry = MetricsRegistry()
     for c in data.get("counters", ()):
@@ -135,12 +130,9 @@ def registry_from_snapshot(data: dict) -> MetricsRegistry:
     for g in data.get("gauges", ()):
         registry.gauge(g["name"], **g["labels"]).set(g["value"])
     for h in data.get("histograms", ()):
-        metric = registry.histogram(h["name"], **h["labels"])
-        metric.merge_parts(h["count"], h["sum"], h["max"],
-                           list(h.get("samples", ())))
-        if h.get("recent") or h.get("buckets"):
-            metric.merge_window_parts(list(h.get("recent", ())),
-                                      dict(h.get("buckets", {})))
+        # a sample-less entry's count/sum/max make a bucket-less state
+        registry.histogram(h["name"], **h["labels"]).merge_state(
+            h.get("state") or h)
     return registry
 
 
@@ -149,8 +141,8 @@ def merge_snapshots(snapshots: list[dict],
                     include_samples: bool = True) -> dict:
     """Merge many snapshots (one per process) into one cluster-wide view.
 
-    Counters and gauges sum; histograms pool their reservoir samples so
-    the merged percentiles are recomputed over the union, exactly as
+    Counters and gauges sum; histograms add their bucket vectors, so the
+    merged percentiles are those of the union, exactly as
     :meth:`MetricsRegistry.merge` does for in-process registries. Each
     input's ``meta`` is preserved under ``meta.sources``.
     """

@@ -7,9 +7,9 @@ external dependencies:
   counts, retries, database round trips);
 * :class:`GaugeMetric` — point-in-time values (hint-cache size, hit
   rate, lock-table size);
-* :class:`HistogramMetric` — latency distributions backed by the
-  existing :class:`repro.util.stats.LatencyReservoir` sampler, so p50/p99
-  stay cheap even for millions of observations.
+* :class:`HistogramMetric` — latency distributions kept as fixed
+  log-linear buckets per wall-clock second (HdrHistogram style), so
+  p50/p99 stay cheap and bounded-error for millions of observations.
 
 Metrics are identified by ``(name, labels)``; labels are free-form
 keyword arguments (``op="mkdir"``, ``table="inodes"``). Conventions used
@@ -18,8 +18,8 @@ counters end in ``_total``, durations are in seconds and end in
 ``_seconds``.
 
 Registries are cheap to create (one per namenode) and mergeable —
-:meth:`MetricsRegistry.merge` sums counters and gauges and folds
-histogram reservoirs together, which is how
+:meth:`MetricsRegistry.merge` sums counters and gauges and adds
+histogram bucket vectors, which is how
 :meth:`repro.hopsfs.cluster.HopsFSCluster.metrics_registry` produces one
 cluster-wide view from per-namenode registries.
 """
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from bisect import bisect_right
+from math import frexp, inf
 from typing import Iterator, Optional
 
-from repro.util.stats import LatencyReservoir, percentile
+from repro.util.stats import percentile
 
 #: label sets are stored canonically as sorted (key, value) tuples
 LabelItems = tuple[tuple[str, str], ...]
@@ -40,12 +41,53 @@ LabelItems = tuple[tuple[str, str], ...]
 #: pruned; windows wider than the horizon silently clamp to it
 WINDOW_HORIZON = 600.0
 
-#: recent-sample memory per histogram for windowed percentiles
-RECENT_SAMPLES = 2048
+#: log-linear histogram buckets per power of two: a bucket spans at most
+#: ``1/SUB_BUCKETS`` of its lower bound, bounding percentiles' error
+SUB_BUCKETS = 64
 
 
 def _label_items(labels: dict[str, object]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def _bucket(value: float) -> int:
+    """Log-linear bucket of ``value``, monotone in it: the binary
+    exponent, then which of :data:`SUB_BUCKETS` slices of the octave."""
+    if not value > 0.0:
+        return -(1 << 20)  # zero, and negatives (which no caller records)
+    mantissa, exponent = frexp(value)
+    return exponent * SUB_BUCKETS + int(mantissa * (2 * SUB_BUCKETS))
+
+
+def _add_cells(into: dict, cells: dict) -> None:
+    """Add bucket vector ``cells`` (index → ``[count, sum]``) into ``into``."""
+    for index, (count, value_sum) in cells.items():
+        cell = into.setdefault(index, [0, 0.0])
+        cell[0] += count
+        cell[1] += value_sum
+
+
+def _pop_expired(buckets: dict, sec: int) -> list:
+    """Remove and return the per-second entries older than the horizon."""
+    cutoff = sec - WINDOW_HORIZON
+    return [buckets.pop(old) for old in [s for s in buckets if s < cutoff]]
+
+
+class _OrderStatistics:
+    """A bucket vector as the sorted list :func:`percentile` reads: item
+    ``k`` is the mean of the bucket holding the ``k``-th smallest value."""
+
+    def __init__(self, cells: dict) -> None:
+        self.ends, self.means = [], []
+        for count, value_sum in (cells[i] for i in sorted(cells)):
+            self.ends.append(count + (self.ends[-1] if self.ends else 0))
+            self.means.append(value_sum / count)
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, k: int) -> float:
+        return self.means[bisect_right(self.ends, k)]
 
 
 def handle_cache(registry: "MetricsRegistry") -> dict:
@@ -82,9 +124,7 @@ class _WindowBuckets:
         buckets = self.buckets
         buckets[sec] = buckets.get(sec, 0.0) + n
         if len(buckets) > WINDOW_HORIZON:
-            cutoff = sec - WINDOW_HORIZON
-            for old in [s for s in buckets if s < cutoff]:
-                del buckets[old]
+            _pop_expired(buckets, sec)
 
     def merge(self, parts: dict) -> None:
         buckets = self.buckets
@@ -189,138 +229,131 @@ class GaugeMetric:
 
 
 class HistogramMetric:
-    """A latency/size distribution (reservoir-sampled percentiles).
+    """A latency/size distribution in fixed log-linear buckets.
 
-    Besides the lifetime reservoir, every histogram remembers its most
-    recent timestamped observations (bounded deque) plus exact
-    per-second counts, so :meth:`window` can answer "p99 over the last
-    30 seconds" — the live view ``repro top`` and the SLO burn-rate
-    math consume. When more than :data:`RECENT_SAMPLES` observations
-    land inside the window, percentiles are computed over the newest
-    ones (a sample), while ``count``/``rate`` stay exact from the
-    buckets.
+    One store serves every view: exact ``count``/``total``/``max`` plus,
+    per wall-clock second, a vector mapping a bucket to ``[count, sum]``;
+    vectors older than :data:`WINDOW_HORIZON` fold into a lifetime
+    vector at second 0, which no window reaches. Percentiles follow
+    :func:`repro.util.stats.percentile` with each order statistic
+    represented by its bucket's mean, so they are within
+    ``1/SUB_BUCKETS`` (relative) of the exact ones. Vectors merge by
+    plain addition: a merged histogram equals one that saw it all.
     """
 
-    __slots__ = ("name", "labels", "_reservoir", "_recent", "_window",
+    __slots__ = ("name", "labels", "_count", "_total", "_max", "_seconds",
                  "_lock")
 
-    def __init__(self, name: str, labels: LabelItems,
-                 capacity: int = 4096) -> None:
+    def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
         self.labels = labels
-        self._reservoir = LatencyReservoir(capacity=capacity)
-        self._recent: deque[tuple[float, float]] = deque(
-            maxlen=RECENT_SAMPLES)
-        self._window = _WindowBuckets()
+        self._count = 0
+        self._total = 0.0
+        self._max = 0.0
+        self._seconds: dict[int, dict[int, list]] = {}
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        now = time.time()
+        sec = int(time.time())
+        index = _bucket(value)
         with self._lock:
-            self._reservoir.record(value)
-            self._recent.append((now, value))
-            self._window.add(1.0, now=now)
+            self._count += 1
+            self._total += value
+            if value > self._max:
+                self._max = value
+            vector = self._seconds.get(sec)
+            if vector is None:
+                vector = self._seconds[sec] = {}
+                if len(self._seconds) > WINDOW_HORIZON:
+                    # the counters' pruning, but expired vectors, second
+                    # 0's among them, fold into a new second-0 vector
+                    for old in _pop_expired(self._seconds, sec):
+                        _add_cells(self._seconds.setdefault(0, {}), old)
+            cell = vector.setdefault(index, [0, 0.0])
+            cell[0] += 1
+            cell[1] += value
 
-    def merge(self, other: "HistogramMetric") -> None:
-        with other._lock:
-            snapshot = other._reservoir
-            count, total, mx = snapshot.count, snapshot.total, snapshot.max
-            samples = list(snapshot._samples)
-            recent = list(other._recent)
-            buckets = dict(other._window.buckets)
+    def state(self) -> dict:
+        """The whole store as JSON-able data (mergeable snapshot payload):
+        ``{"count", "sum", "max", "seconds": {second: {bucket: [count,
+        sum]}}}``."""
         with self._lock:
-            self._reservoir.merge_parts(count, total, mx, samples)
-            self._merge_recent(recent)
-            self._window.merge(buckets)
+            return {"count": self._count, "sum": self._total,
+                    "max": self._max,
+                    "seconds": {sec: {i: list(cell)
+                                      for i, cell in vector.items()}
+                                for sec, vector in self._seconds.items()}}
 
-    def merge_parts(self, count: int, total: float, max_value: float,
-                    samples: list[float]) -> None:
-        """Fold externally-supplied reservoir state in (snapshot merging)."""
+    def merge_state(self, state: dict) -> None:
+        """Add a :meth:`state` (or its JSON round trip) in. Vectors keep
+        their seconds, so a merge never replays old traffic as new."""
         with self._lock:
-            self._reservoir.merge_parts(count, total, max_value, samples)
+            self._count += state["count"]
+            self._total += state["sum"]
+            self._max = max(self._max, state["max"])
+            for sec, cells in state.get("seconds", {}).items():
+                # JSON round trips turn both kinds of keys into strings
+                _add_cells(self._seconds.setdefault(int(sec), {}),
+                           {int(i): cell for i, cell in cells.items()})
 
-    def merge_window_parts(self, recent: list, buckets: dict) -> None:
-        """Fold exported window state in (snapshot restoring)."""
+    def cells(self, since: float = -inf) -> dict[int, list]:
+        """Bucket → ``[count, sum]`` summed over the vectors stamped after
+        wall-clock ``since`` (by default all of them)."""
+        cells: dict[int, list] = {}
         with self._lock:
-            self._merge_recent([(float(t), float(v)) for t, v in recent])
-            self._window.merge(buckets)
-
-    def _merge_recent(self, recent: list[tuple[float, float]]) -> None:
-        # keep the newest observations across both sides; the deque cap
-        # bounds memory, so merge order must not silently drop the
-        # *newer* side's samples  (guarded_by: _lock)
-        if not recent:
-            return
-        merged = sorted(list(self._recent) + recent)
-        self._recent.clear()
-        self._recent.extend(merged[-RECENT_SAMPLES:])
-
-    def sample_values(self) -> list[float]:
-        """The raw reservoir samples (exported for mergeable snapshots)."""
-        with self._lock:
-            return list(self._reservoir._samples)
-
-    def recent_samples(self) -> list[tuple[float, float]]:
-        """Timestamped recent observations (mergeable snapshot payload)."""
-        with self._lock:
-            return list(self._recent)
-
-    def window_buckets(self) -> dict[str, float]:
-        """Exported per-second counts (mergeable snapshot payload)."""
-        with self._lock:
-            return self._window.to_dict()
+            for sec, vector in self._seconds.items():
+                if sec > since:
+                    _add_cells(cells, vector)
+        return cells
 
     def window(self, seconds: float,
                now: Optional[float] = None) -> dict[str, float]:
-        """Windowed view: exact count/rate, sampled percentiles.
+        """Windowed view: exact count/rate/mean, bucketed percentiles.
 
         Returns ``{"count", "rate", "p50", "p99", "mean", "max"}`` over
-        the trailing ``seconds`` (clamped to :data:`WINDOW_HORIZON`).
+        the trailing ``seconds`` (clamped to :data:`WINDOW_HORIZON`);
+        ``max`` is the largest observation's bucket mean.
         """
-        if now is None:
-            now = time.time()
-        cutoff = now - min(seconds, WINDOW_HORIZON)
-        with self._lock:
-            count = self._window.count(seconds, now=now)
-            values = sorted(v for t, v in self._recent if t > cutoff)
         span = max(min(seconds, WINDOW_HORIZON), 1e-9)
+        cells = self.cells((time.time() if now is None else now) - span)
+        count = sum(c for c, _ in cells.values())
         out = {"count": count, "rate": count / span,
                "p50": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
-        if values:
-            out["p50"] = percentile(values, 50.0)
-            out["p99"] = percentile(values, 99.0)
-            out["mean"] = sum(values) / len(values)
-            out["max"] = values[-1]
+        if count:
+            ordered = _OrderStatistics(cells)
+            out.update(p50=percentile(ordered, 50.0),
+                       p99=percentile(ordered, 99.0),
+                       mean=sum(s for _, s in cells.values()) / count,
+                       max=ordered[count - 1])
         return out
 
     @property
     def count(self) -> int:
         with self._lock:
-            return self._reservoir.count
+            return self._count
 
     @property
     def total(self) -> float:
         with self._lock:
-            return self._reservoir.total
+            return self._total
 
     @property
     def max(self) -> float:
         with self._lock:
-            return self._reservoir.max
+            return self._max
 
     @property
     def mean(self) -> float:
         with self._lock:
-            return self._reservoir.mean
+            return self._total / self._count if self._count else float("nan")
 
     def percentile(self, p: float) -> float:
-        with self._lock:
-            return self._reservoir.percentile(p)
+        return self.percentiles((p,))[p]
 
     def percentiles(self, ps: tuple[float, ...] = (50.0, 90.0, 99.0)
                     ) -> dict[float, float]:
-        with self._lock:
-            return self._reservoir.percentiles(list(ps))
+        ordered = _OrderStatistics(self.cells())
+        return {p: percentile(ordered, p) for p in ps}
 
 
 class MetricsRegistry:
@@ -332,8 +365,7 @@ class MetricsRegistry:
     paths.
     """
 
-    def __init__(self, histogram_capacity: int = 4096) -> None:
-        self._histogram_capacity = histogram_capacity
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, LabelItems], CounterMetric] = {}
         self._gauges: dict[tuple[str, LabelItems], GaugeMetric] = {}
@@ -364,8 +396,7 @@ class MetricsRegistry:
         with self._lock:
             metric = self._histograms.get(key)
             if metric is None:
-                metric = self._histograms[key] = HistogramMetric(
-                    *key, capacity=self._histogram_capacity)
+                metric = self._histograms[key] = HistogramMetric(*key)
             return metric
 
     # -- convenience recording -------------------------------------------------
@@ -421,7 +452,7 @@ class MetricsRegistry:
     # -- aggregation -----------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (sums and reservoir unions).
+        """Fold ``other`` into this registry (sums and bucket additions).
 
         Counters and gauges add; gauges that are *rates* rather than
         levels (e.g. ``hint_cache_hit_rate``) should be recomputed by the
@@ -437,5 +468,5 @@ class MetricsRegistry:
         for gauge in other.gauges():
             self.gauge(gauge.name, **dict(gauge.labels)).inc(gauge.value)
         for histogram in other.histograms():
-            self.histogram(histogram.name,
-                           **dict(histogram.labels)).merge(histogram)
+            self.histogram(histogram.name, **dict(histogram.labels)
+                           ).merge_state(histogram.state())

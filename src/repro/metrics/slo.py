@@ -16,9 +16,9 @@ Two kinds:
   ``bad``, matched by name across every label set). The SLI is
   ``1 - bad/total`` over the window;
 * **latency** — a histogram family plus a threshold; the SLI is the
-  fraction of windowed observations at or under the threshold
-  (computed over the histogram's recent-sample memory, so it is a
-  sampled quantity exactly like the windowed percentiles).
+  fraction of windowed observations at or under the threshold, counted
+  from the histogram's bucket vectors with each observation standing
+  for its bucket's mean, as in the windowed percentiles.
 """
 
 from __future__ import annotations
@@ -83,18 +83,15 @@ class SLO:
 
     def _latency_sli(self, registry: MetricsRegistry,
                      now: Optional[float]) -> tuple[Optional[float], float]:
-        if now is None:
-            now = time.time()
-        cutoff = now - self.window
+        since = (time.time() if now is None else now) - self.window
         good = events = 0
         for h in registry.histograms():
             if h.name != self.latency:
                 continue
-            for t, value in h.recent_samples():
-                if t > cutoff:
-                    events += 1
-                    if value <= self.threshold:
-                        good += 1
+            for count, value_sum in h.cells(since).values():
+                events += count
+                if value_sum / count <= self.threshold:
+                    good += count
         if not events:
             return None, 0.0
         return good / events, float(events)

@@ -81,28 +81,6 @@ class LatencyReservoir:
         ordered = sorted(self._samples)
         return {p: percentile(ordered, p) for p in ps}
 
-    def merge_parts(self, count: int, total: float, max_value: float,
-                    samples: list[float]) -> None:
-        """Fold another reservoir's state into this one.
-
-        Count/total/max stay exact; the sample pool is the union,
-        down-sampled uniformly back to capacity, so merged percentiles
-        remain an unbiased approximation. Used when aggregating
-        per-namenode metric registries into one cluster view.
-        """
-        self.count += count
-        self.total += total
-        if max_value > self.max:
-            self.max = max_value
-        pool = self._samples + list(samples)
-        if len(pool) > self._capacity:
-            pool = self._rng.sample(pool, self._capacity)
-        self._samples = pool
-
-    def merge(self, other: "LatencyReservoir") -> None:
-        self.merge_parts(other.count, other.total, other.max,
-                         other._samples)
-
 
 @dataclass
 class ThroughputWindow:

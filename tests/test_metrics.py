@@ -12,7 +12,7 @@ from repro.metrics import export
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import Tracer, add_event, span
 from repro.util.clock import ManualClock
-from repro.util.stats import LatencyReservoir, ThroughputWindow
+from repro.util.stats import ThroughputWindow
 
 from tests.conftest import make_hopsfs
 
@@ -107,17 +107,28 @@ def test_registry_merge_sums_and_folds():
     assert hist.max == pytest.approx(0.4)
 
 
-def test_reservoir_merge_parts_is_exact_on_totals():
-    a, b = LatencyReservoir(capacity=8), LatencyReservoir(capacity=8)
-    for v in range(20):
-        a.record(float(v))
-    for v in range(50, 80):
-        b.record(float(v))
+def test_histogram_merges_are_exact():
+    """Bucket vectors add: merging in process or through snapshots gives
+    the histogram of one registry that observed everything."""
+    a, b, whole = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+    for i in range(10000):
+        value = 1e-6 * 1.002 ** i  # distinct, spanning ~29 octaves
+        (a if i % 2 else b).observe("h", value)
+        whole.observe("h", value)
+    snapshots = [export.from_json(export.to_json(r, include_samples=True))
+                 for r in (a, b)]
+    rebuilt = export.registry_from_snapshot(
+        export.merge_snapshots(snapshots))
     a.merge(b)
-    assert a.count == 50
-    assert a.total == pytest.approx(sum(range(20)) + sum(range(50, 80)))
-    assert a.max == 79.0
-    assert len(a._samples) <= 8  # pool stays bounded
+    expected = whole.get_histogram("h")
+    for merged in (a.get_histogram("h"), rebuilt.get_histogram("h")):
+        assert merged.count == 10000
+        for p, value in expected.percentiles((50.0, 90.0, 99.0)).items():
+            assert merged.percentile(p) == pytest.approx(value, rel=1e-12)
+        assert merged.window(60)["p99"] == pytest.approx(
+            expected.window(60)["p99"], rel=1e-12)
+        assert ({i: c for i, (c, _) in merged.cells().items()}
+                == {i: c for i, (c, _) in expected.cells().items()})
 
 
 # -- satellite fixes: hint cache and throughput window -------------------------

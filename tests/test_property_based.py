@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.errors import DuplicateKeyError
 from repro.hopsfs.hintcache import InodeHintCache
 from repro.hopsfs.paths import join_path, normalize, split_path
+from repro.metrics.registry import SUB_BUCKETS, MetricsRegistry
 from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema
 from repro.ndb.locks import LockManager
 from repro.ndb.partition import PartitionMap, stable_hash
@@ -266,6 +267,21 @@ def test_latency_reservoir_exact_aggregates(values):
     assert reservoir.mean == pytest.approx(sum(values) / len(values))
     p50 = reservoir.percentile(50)
     assert min(values) <= p50 <= max(values)
+
+
+@FAST
+@given(st.lists(st.floats(min_value=1e-9, max_value=1e3),
+                min_size=1, max_size=300),
+       st.floats(min_value=0, max_value=100))
+def test_histogram_percentiles_within_bucket_width(values, p):
+    hist = MetricsRegistry().histogram("h")
+    for value in values:
+        hist.observe(value)
+    assert hist.count == len(values)
+    assert hist.max == max(values)
+    assert hist.total == sum(values)
+    exact = percentile(sorted(values), p)
+    assert hist.percentile(p) == pytest.approx(exact, rel=1 / SUB_BUCKETS)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,8 @@ def test_sigterm_exits_cleanly_and_persists_observability(tmp_path):
     requests = sum(c["value"] for c in snapshot["counters"]
                    if c["name"] == "rpc_requests_total")
     assert requests >= 5
-    # the snapshot is the mergeable kind: histograms carry raw samples
-    assert any(h.get("samples") for h in snapshot["histograms"])
+    # the snapshot is the mergeable kind: histograms carry bucket state
+    assert any(h.get("state") for h in snapshot["histograms"])
     # per-process flight-recorder dump directory
     dumps = list(flight_dir.glob("*.json"))
     assert dumps, "no flight dump written on shutdown"

@@ -15,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.metrics import export
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import WINDOW_HORIZON, MetricsRegistry
 from repro.metrics.slo import SLO
 from repro.metrics.top import main as top_main
 from repro.metrics.top import render_top
@@ -48,6 +48,43 @@ class TestWindows:
         assert view["p99"] > view["p50"]
         # lifetime reservoir unaffected by window queries
         assert hist.count == 5
+
+    def test_window_views_count_every_observation(self):
+        """More observations in one window than any sample memory would
+        keep: the windowed view and the latency SLO still see them all."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("fs_op_seconds", op="mkdir")
+        for _ in range(3000):
+            hist.observe(0.100)
+        for _ in range(2100):
+            hist.observe(0.001)
+        view = hist.window(60)
+        assert view["count"] == 5100
+        assert view["mean"] == pytest.approx(
+            (3000 * 0.100 + 2100 * 0.001) / 5100)
+        from repro.metrics.registry import SUB_BUCKETS
+        assert abs(view["p99"] - 0.100) <= 0.100 / SUB_BUCKETS
+        status = SLO("fast", objective=0.5, latency="fs_op_seconds",
+                     threshold=0.010).status(registry)
+        assert status["events"] == 5100
+        assert status["sli"] == pytest.approx(2100 / 5100)
+
+    def test_expired_seconds_fold_into_lifetime(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.metrics import registry as registry_module
+        clock = [1_700_000_000.0]
+        monkeypatch.setattr(registry_module, "time",
+                            SimpleNamespace(time=lambda: clock[0]))
+        hist = MetricsRegistry().histogram("op_seconds")
+        for _ in range(1500):  # well past the horizon
+            clock[0] += 1
+            hist.observe(0.001)
+            hist.observe(0.100)
+        assert len(hist.state()["seconds"]) <= WINDOW_HORIZON + 2
+        assert sum(c for c, _ in hist.cells().values()) == hist.count == 3000
+        assert hist.percentile(50.0) == pytest.approx(0.0505)
+        assert hist.window(60, now=clock[0])["count"] == 120
 
     def test_merge_does_not_replay_traffic_into_now(self):
         source = MetricsRegistry()
@@ -184,7 +221,7 @@ class TestMetricsEndpoint:
             assert any(c["name"] == "rpc_requests_total"
                        for c in windows["counters"])
             # sample-carrying: the snapshot merges into top correctly
-            assert any("recent" in h for h in data["histograms"])
+            assert any("state" in h for h in data["histograms"])
             with urllib.request.urlopen(base + "/healthz", timeout=5) as r:
                 health = json.loads(r.read())
             assert health["ok"] is True
