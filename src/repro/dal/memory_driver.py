@@ -67,12 +67,12 @@ class MemoryDriver(DALDriver):
 class MemorySession:
     def __init__(self, driver: MemoryDriver) -> None:
         self._driver = driver
-        self.stats = AccessStats()
+        self.stats = AccessStats(keep_events=False)
         self.retries_used = 0  # mutex serialization: conflicts can't happen
 
     def begin(self, hint: Optional[tuple[str, Mapping[str, Any]]] = None
               ) -> "MemoryTransaction":
-        return MemoryTransaction(self._driver)
+        return MemoryTransaction(self._driver, self.stats)
 
     def run(self, fn: Callable[["MemoryTransaction"], T],
             hint: Optional[tuple[str, Mapping[str, Any]]] = None,
@@ -84,24 +84,22 @@ class MemorySession:
             result = fn(tx)
             if tx.active:
                 tx.commit()  # emits its own "commit" span
-            self.stats.merge(tx.stats)
             return result
         except Exception:
             tx.abort()
-            self.stats.merge(tx.stats)
             raise
 
     def reset_stats(self) -> AccessStats:
-        stats, self.stats = self.stats, AccessStats()
+        stats, self.stats = self.stats, AccessStats(keep_events=False)
         return stats
 
 
 class MemoryTransaction:
     """Serializable-by-mutex transaction over the in-process tables."""
 
-    def __init__(self, driver: MemoryDriver) -> None:
+    def __init__(self, driver: MemoryDriver, stats: AccessStats) -> None:
         self._driver = driver
-        self.stats = AccessStats()
+        self.stats = stats  # the session's tally, recorded into in place
         self.coordinator = 0
         self._writes: dict[tuple[str, tuple[Any, ...]], tuple[str, Optional[dict]]] = {}
         self.active = True

@@ -35,9 +35,12 @@ lives in-process or behind a socket. What changes under the hood:
   predicate, preserving embedded semantics).
 
 Access statistics stay exact: every transaction RPC response carries the
-scalar counter deltas and new :class:`AccessEvent` records produced
-server-side, and the client folds them into ``tx.stats`` — access-path
-verification and the performance model see embedded-identical numbers.
+counter and by-kind deltas the server-side session tallied since the
+connection's previous response, and the client folds them into its
+session's tally — access-path verification and the round-trip budgets
+see embedded-identical counters. No :class:`AccessEvent` crosses the
+wire: a traced operation gets its ``db.*`` events from the server's
+span tree grafted under the client's ``rpc.<method>`` span.
 """
 
 from __future__ import annotations
@@ -132,13 +135,13 @@ class RemoteTransaction:
 
     def __init__(self, driver: "RemoteDriver", conn: ClientConn,
                  handle: int, coordinator: int,
-                 pipeline_writes: bool) -> None:
+                 pipeline_writes: bool, stats: AccessStats) -> None:
         self._driver = driver
         self._conn = conn
         self._handle = handle
         self.coordinator = coordinator
         self.state = TxState.ACTIVE
-        self.stats = AccessStats()
+        self.stats = stats  # the session's tally, recorded into in place
         self._pipeline = pipeline_writes
         conn.on_pipelined_result = self._fold_pipelined
 
@@ -356,8 +359,8 @@ class RemoteTransaction:
 class RemoteSession:
     """Per-client-thread session against a remote server.
 
-    Mirrors :class:`repro.ndb.session.Session`: hands out transactions,
-    accumulates their statistics, and ``run`` retries the whole callback
+    Mirrors :class:`repro.ndb.session.Session`: hands out transactions
+    that tally into :attr:`stats`, and ``run`` retries the whole callback
     on lock conflicts *and* on mid-transaction connection loss (the
     server aborted the transaction, so a retry is safe).
     :class:`CommitAmbiguousError` deliberately escapes the retry loop.
@@ -365,12 +368,12 @@ class RemoteSession:
 
     def __init__(self, driver: "RemoteDriver") -> None:
         self._driver = driver
-        self.stats = AccessStats()
+        self.stats = AccessStats(keep_events=False)
         self.retries_used = 0
 
     def begin(self, hint: Optional[tuple[str, Mapping[str, Any]]] = None
               ) -> RemoteTransaction:
-        return self._driver._begin(hint)
+        return self._driver._begin(hint, self.stats)
 
     def run(self, fn: Callable[[RemoteTransaction], T],
             hint: Optional[tuple[str, Mapping[str, Any]]] = None,
@@ -380,7 +383,7 @@ class RemoteSession:
         return run_in_session(self, fn, hint=hint, retries=retries)
 
     def reset_stats(self) -> AccessStats:
-        stats, self.stats = self.stats, AccessStats()
+        stats, self.stats = self.stats, AccessStats(keep_events=False)
         return stats
 
 
@@ -558,8 +561,8 @@ class RemoteDriver(DALDriver):
             if not conn.closed:
                 conn.settimeout(self.timeout)
 
-    def _begin(self, hint: Optional[tuple[str, Mapping[str, Any]]]
-               ) -> RemoteTransaction:
+    def _begin(self, hint: Optional[tuple[str, Mapping[str, Any]]],
+               stats: AccessStats) -> RemoteTransaction:
         """Open a server-side transaction pinned to one connection."""
         last_exc: Exception = ConnectionClosedError("no attempts made")
         for _attempt in range(max(1, self.max_reconnect_attempts)):
@@ -570,9 +573,14 @@ class RemoteDriver(DALDriver):
             except _CONN_ERRORS as exc:
                 last_exc = exc  # nothing started server-side that survives
                 continue
+            except Exception:
+                # a typed refusal (server draining, cluster down) arrived
+                # as a whole response: the connection is healthy
+                self._checkin(conn)
+                raise
             return RemoteTransaction(self, conn, result["tx"],
                                      result.get("coordinator", -1),
-                                     self.pipeline_writes)
+                                     self.pipeline_writes, stats)
         raise last_exc
 
     # -- DALDriver interface ---------------------------------------------------

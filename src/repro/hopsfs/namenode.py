@@ -27,7 +27,7 @@ from repro.errors import (
     NodeFailureError,
     TransactionAbortedError,
 )
-from repro.dal.driver import DALDriver, DALTransaction
+from repro.dal.driver import DALDriver, DALSession, DALTransaction
 from repro.faults import fault_point
 from repro.hopsfs.config import HopsFSConfig
 from repro.hopsfs.hintcache import InodeHintCache
@@ -85,7 +85,10 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         self.gen_stamp_alloc = IdAllocator(driver.session(), "genstamps",
                                            batch=config.id_batch_size)
         self._rng = random.Random(nn_id)
-        self.stats = AccessStats(keep_events=False)
+        #: optional capture sink: while a caller installs an
+        #: AccessStats here, each op's session keeps its events and is
+        #: merged into it under ``_stats_mutex`` (profiling, tests)
+        self.stats: Optional[AccessStats] = None  # guarded_by: GIL
         self.op_count = Counter()  # guarded_by: _stats_mutex
         self._stats_mutex = threading.Lock()
         self.metrics = MetricsRegistry()
@@ -237,7 +240,7 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
                     f"namenode {self.nn_id} is down")
             if attempt:
                 self.metrics.inc("fs_op_retries_total", op=op_name)
-            session = self.driver.session()
+            session = self._op_session()
             try:
                 result = session.run(fn, hint=hint)
                 self._merge_stats(op_name, session)
@@ -265,13 +268,23 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         with self._stats_mutex:
             return self.op_count.snapshot()
 
+    def _op_session(self) -> DALSession:
+        """A DAL session for one op attempt; its tally keeps events only
+        while a capture sink is installed on :attr:`stats`."""
+        session = self.driver.session()
+        if self.stats is not None:
+            session.stats.keep_events = True
+        return session
+
     def _merge_stats(self, op_name: str, session) -> None:
         stats = session.stats
+        sink = self.stats
         with self._stats_mutex:
-            self.stats.merge(stats)
+            if sink is not None:
+                sink.merge(stats)
             self.op_count.add(op_name)
-        # bridge the DAL access statistics into the metrics registry
-        # (through cached counter handles — this runs once per operation)
+        # fold the session tally into the metrics registry (through
+        # cached counter handles — this runs once per operation)
         for kind, n in stats.by_kind.items():
             self._db_kind_counters[kind].inc(n)
         round_trips, read, written, locked, hops = self._db_counters
@@ -295,7 +308,7 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
 
     def _clear_stale_subtree_lock(self, exc: StaleSubtreeLockError) -> None:
         """Lazy reclamation of a dead namenode's subtree lock (§6.2)."""
-        session = self.driver.session()
+        session = self._op_session()
 
         def fn(tx: DALTransaction) -> None:
             row = tx.read("inodes", exc.inode_pk, lock=LockMode.EXCLUSIVE)

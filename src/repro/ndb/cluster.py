@@ -48,6 +48,7 @@ from repro.ndb.fragment import Fragment
 from repro.ndb.locks import LockManager
 from repro.ndb.partition import PartitionMap
 from repro.ndb.schema import TableSchema
+from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 from repro.ndb.transaction import Transaction, TxState
 from repro.util.rwlock import ReadWriteLock
 
@@ -284,7 +285,8 @@ class NDBCluster:
 
         return Session(self)
 
-    def begin(self, hint: Optional[tuple[str, Mapping[str, Any]]] = None) -> Transaction:
+    def begin(self, hint: Optional[tuple[str, Mapping[str, Any]]] = None,
+              stats: Optional[AccessStats] = None) -> Transaction:
         """Start a transaction.
 
         ``hint`` is ``(table, partition_key_values)``: the transaction
@@ -292,9 +294,13 @@ class NDBCluster:
         replica (a *distribution-aware transaction*). An incorrect hint
         only costs extra network hops, never correctness (§2.2). Without a
         hint, coordinators round-robin over live datanodes.
+
+        ``stats`` is the tally the transaction records into (a session
+        passes its own); without one the transaction owns a fresh
+        :class:`AccessStats` that keeps events.
         """
         coordinator = self._pick_coordinator(hint)
-        tx = Transaction(self, next(self._tx_counter), coordinator)
+        tx = Transaction(self, next(self._tx_counter), coordinator, stats)
         with self._registry_lock:
             self._active_txs[tx.tx_id] = tx
         return tx
@@ -453,8 +459,6 @@ class NDBCluster:
                 registry.observe("ndb_commit_participants", len(node_batches))
                 registry.observe("ndb_group_commit_batch", batch_size)
             # account the flushed write batch + the commit round
-            from repro.ndb.stats import AccessEvent, AccessKind
-
             nodes = tuple(sorted({self._primaries[pid] for pid in write_pids}))
             groups = tuple(sorted({self._pmap.node_group_of(pid)
                                    for pid in write_pids}))

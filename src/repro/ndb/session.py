@@ -1,9 +1,10 @@
-"""Client session: a thin, stat-aggregating handle onto the cluster.
+"""Client session: a thin, stat-tallying handle onto the cluster.
 
 One session per client thread. A session hands out transactions (optionally
-distribution-aware via a partition-key hint) and accumulates their access
-statistics, which is what the HopsFS DAL driver and the performance-model
-recorder consume.
+distribution-aware via a partition-key hint) that record their accesses
+straight into the session's counters-only :class:`AccessStats` — the one
+tally per operation attempt that the HopsFS namenode folds into its
+metrics.
 
 :func:`run_in_session` is *the* whole-transaction retry loop: the remote
 session (:class:`repro.dal.remote_driver.RemoteSession`) runs the exact
@@ -41,8 +42,9 @@ def run_in_session(session: Any, fn: Callable[[Any], T],
     """Run ``fn`` in a transaction of ``session``; retry lock conflicts.
 
     ``session`` provides ``begin(hint)``, ``stats`` and ``retries_used``.
-    Statistics of every attempt — including aborted ones, whose work was
-    real — are merged into ``session.stats``.
+    ``begin`` hands ``session.stats`` to each transaction, which records
+    into it in place, so every attempt — including aborted ones, whose
+    work was real — is counted there with no merge step.
     """
     policy = (TX_RETRY_POLICY if retries == TX_RETRY_POLICY.max_attempts
               else replace(TX_RETRY_POLICY, max_attempts=max(1, retries)))
@@ -56,11 +58,9 @@ def run_in_session(session: Any, fn: Callable[[Any], T],
                 result = fn(tx)
             if tx.state is TxState.ACTIVE:
                 tx.commit()  # emits its own "commit" span
-            session.stats.merge(tx.stats)
             return result
         except Exception as exc:
             tx.abort()
-            session.stats.merge(tx.stats)
             if not policy.is_retryable(exc):
                 raise
             session.retries_used += 1
@@ -76,11 +76,11 @@ def run_in_session(session: Any, fn: Callable[[Any], T],
 class Session:
     def __init__(self, cluster: "repro.ndb.cluster.NDBCluster") -> None:
         self.cluster = cluster
-        self.stats = AccessStats()
+        self.stats = AccessStats(keep_events=False)
         self.retries_used = 0
 
     def begin(self, hint: Optional[tuple[str, Mapping[str, Any]]] = None) -> Transaction:
-        return self.cluster.begin(hint)
+        return self.cluster.begin(hint, stats=self.stats)
 
     def run(self, fn: Callable[[Transaction], T],
             hint: Optional[tuple[str, Mapping[str, Any]]] = None,
@@ -88,11 +88,11 @@ class Session:
         """Run ``fn`` in a transaction; retry on lock conflicts.
 
         Statistics of every attempt — including aborted ones, whose work
-        was real — are merged into :attr:`stats`.
+        was real — are recorded into :attr:`stats`.
         """
         return run_in_session(self, fn, hint=hint, retries=retries)
 
     def reset_stats(self) -> AccessStats:
         """Return accumulated stats and start a fresh accumulator."""
-        stats, self.stats = self.stats, AccessStats()
+        stats, self.stats = self.stats, AccessStats(keep_events=False)
         return stats

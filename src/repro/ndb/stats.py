@@ -1,14 +1,23 @@
-"""Per-transaction and per-session database access statistics.
+"""Database access statistics: one tally per session.
+
+A transaction begun through a session records straight into the
+session's :class:`AccessStats` — there is no per-transaction copy to
+merge. Session tallies keep counters only (``keep_events=False``); a
+transaction begun on the cluster without a session owns a fresh,
+event-keeping :class:`AccessStats`.
 
 These statistics serve two purposes:
 
 1. **Verification** — tests assert that HopsFS operations use only the
    cheap access paths (PK, batched PK, PPIS) and never full-table or
    all-shard index scans (paper Fig. 2b), and that the inode hint cache
-   turns N path-resolution round trips into one.
+   turns N path-resolution round trips into one. Counters suffice.
 2. **Profiling for the performance model** — :mod:`repro.perfmodel`
-   records the ordered list of :class:`AccessEvent` generated by each file
-   system operation and replays it in simulated time.
+   installs an event-keeping capture sink on a namenode and replays the
+   ordered list of :class:`AccessEvent` each file system operation
+   generated in simulated time. Event objects exist only in such sinks,
+   in transactions begun without a session, and (as ``db.*`` trace
+   events) in sampled traces.
 """
 
 from __future__ import annotations
@@ -97,7 +106,6 @@ class AccessStats:
     rows_written: int = 0
     rows_locked: int = 0
     remote_partition_hops: int = 0
-    partitions_touched: int = 0
     events: list[AccessEvent] = field(default_factory=list)
     #: record the full event list (disable for long-running workloads)
     keep_events: bool = True
@@ -120,7 +128,6 @@ class AccessStats:
         self.remote_partition_hops += sum(
             1 for node in event.nodes if node != event.coordinator
         )
-        self.partitions_touched += len(event.partitions)
         if self.keep_events:
             self.events.append(event)
 
@@ -141,7 +148,6 @@ class AccessStats:
         self.rows_written += other.rows_written
         self.rows_locked += other.rows_locked
         self.remote_partition_hops += other.remote_partition_hops
-        self.partitions_touched += other.partitions_touched
         if self.keep_events:
             self.events.extend(other.events)
 
@@ -152,7 +158,6 @@ class AccessStats:
         self.rows_written = 0
         self.rows_locked = 0
         self.remote_partition_hops = 0
-        self.partitions_touched = 0
         self.events.clear()
 
     @property

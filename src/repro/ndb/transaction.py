@@ -60,12 +60,15 @@ class Transaction:
     """
 
     def __init__(self, cluster: "repro.ndb.cluster.NDBCluster", tx_id: int,
-                 coordinator: int) -> None:
+                 coordinator: int,
+                 stats: Optional[AccessStats] = None) -> None:
         self._cluster = cluster
         self.tx_id = tx_id
         self.coordinator = coordinator
         self.state = TxState.ACTIVE  # guarded_by: _mutex [writes]
-        self.stats = AccessStats()
+        #: where this transaction's accesses are tallied: its session's
+        #: stats, or a fresh event-keeping tally when begun sessionless
+        self.stats = stats if stats is not None else AccessStats()
         self._writes: dict[tuple[str, tuple[Any, ...]], _Write] = {}  # guarded_by: owner-thread
         self._participants: set[int] = {coordinator}  # guarded_by: owner-thread
         self._mutex = threading.Lock()  # serializes commit vs external abort

@@ -34,12 +34,16 @@ Three value-level codecs live here because both ends need them:
   object;
 * :func:`encode_schema` / :func:`decode_schema` — :class:`TableSchema`
   for ``create_table``;
-* :func:`stats_delta` / :func:`apply_stats_delta` — incremental
-  :class:`AccessStats` shipping. Every transaction RPC response carries
-  the statistics the call produced *server-side* (scalar counter diffs
-  plus the new :class:`AccessEvent` records), and the client folds them
-  into its local stats object, so access-path verification and the
-  performance model see exactly what an embedded driver would.
+* :func:`stats_delta` / :func:`apply_stats_delta` — counters-only
+  :class:`AccessStats` shipping. The server keeps one tally per
+  connection (its session's stats, which every transaction on the
+  connection records into) and drains it into each transaction
+  response: the non-zero counters and by-kind counts since the
+  previous response, never :class:`AccessEvent` records. The client
+  folds the delta into its session's tally, so access-path
+  verification and round-trip budgets see exactly the counters an
+  embedded driver would; a traced operation's ``db.*`` events arrive
+  once, in the server's grafted span tree.
 
 Errors travel as ``{"type": <class name>, "message": str}``. The client
 re-raises the matching class from :mod:`repro.errors` (the whole
@@ -58,7 +62,7 @@ from typing import Any, Mapping, Optional
 from repro import errors as _errors
 from repro.errors import ProtocolError, RemoteCallError
 from repro.ndb.schema import TableSchema
-from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
+from repro.ndb.stats import AccessKind, AccessStats
 
 #: bump when the frame or message layout changes incompatibly
 PROTOCOL_VERSION = 1
@@ -220,95 +224,39 @@ def decode_schema(raw: Mapping[str, Any]) -> TableSchema:
 
 # -- access-stats codec --------------------------------------------------------
 
-
-def encode_event(event: AccessEvent) -> dict[str, Any]:
-    return {
-        "kind": event.kind.value,
-        "table": event.table,
-        "partitions": list(event.partitions),
-        "nodes": list(event.nodes),
-        "coordinator": event.coordinator,
-        "rows": event.rows,
-        "locked": event.locked,
-        "write": event.write,
-        "node_groups": list(event.node_groups),
-    }
+#: the scalar :class:`AccessStats` counters a stats delta carries
+_STATS_COUNTERS = ("round_trips", "rows_read", "rows_written",
+                   "rows_locked", "remote_partition_hops")
 
 
-def decode_event(raw: Mapping[str, Any]) -> AccessEvent:
-    return AccessEvent(
-        kind=AccessKind(raw["kind"]),
-        table=raw["table"],
-        partitions=tuple(raw["partitions"]),
-        nodes=tuple(raw["nodes"]),
-        coordinator=raw["coordinator"],
-        rows=raw["rows"],
-        locked=raw["locked"],
-        write=raw["write"],
-        node_groups=tuple(raw.get("node_groups", ())),
-    )
+def stats_delta(stats: AccessStats) -> dict[str, Any]:
+    """Drain ``stats`` into a wire delta and zero it.
 
-
-class StatsCursor:
-    """Server-side bookmark into one transaction's growing stats.
-
-    :meth:`delta` returns everything recorded since the previous call —
-    scalar counter diffs plus the new events — and advances the bookmark,
-    so each RPC response ships only its own call's statistics.
+    The delta holds the non-zero scalar counters plus a ``by_kind`` map
+    of access-kind value to count; events are never shipped.
     """
-
-    _SCALARS = ("round_trips", "rows_read", "rows_written", "rows_locked",
-                "remote_partition_hops", "partitions_touched")
-
-    def __init__(self) -> None:
-        self._scalars = dict.fromkeys(self._SCALARS, 0)
-        self._by_kind: dict[str, int] = {}
-        self._events_sent = 0
-
-    def delta(self, stats: AccessStats) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for name in self._SCALARS:
-            value = getattr(stats, name)
-            if value != self._scalars[name]:
-                out[name] = value - self._scalars[name]
-                self._scalars[name] = value
-        by_kind = {}
-        for kind, count in stats.by_kind.items():
-            sent = self._by_kind.get(kind.value, 0)
-            if count != sent:
-                by_kind[kind.value] = count - sent
-                self._by_kind[kind.value] = count
-        if by_kind:
-            out["by_kind"] = by_kind
-        events = stats.events[self._events_sent:]
-        if events:
-            out["events"] = [encode_event(e) for e in events]
-            self._events_sent = len(stats.events)
-        return out
+    delta: dict[str, Any] = {}
+    for name in _STATS_COUNTERS:
+        value = getattr(stats, name)
+        if value:
+            delta[name] = value
+    if stats.by_kind:
+        delta["by_kind"] = {kind.value: count
+                            for kind, count in stats.by_kind.items()}
+    stats.clear()
+    return delta
 
 
 def apply_stats_delta(stats: AccessStats, delta: Mapping[str, Any]) -> None:
     """Fold a server-produced stats delta into a client-side AccessStats.
 
-    Scalars are applied directly (not via :meth:`AccessStats.record`) so
+    Counters are added directly (not via :meth:`AccessStats.record`) so
     the client mirrors the server's counters exactly — including the
     double-incremented ``rows_locked`` semantics of the native engine.
-    New events are appended and also announced to the active per-op trace,
-    so a namenode tracing an operation over a remote DAL still sees its
-    ``db.*`` round-trip events.
     """
-    from repro.metrics.tracing import _ACTIVE, record_access
-
-    for name in StatsCursor._SCALARS:
+    for name in _STATS_COUNTERS:
         if name in delta:
             setattr(stats, name, getattr(stats, name) + delta[name])
     for kind_value, count in delta.get("by_kind", {}).items():
         kind = AccessKind(kind_value)
         stats.by_kind[kind] = stats.by_kind.get(kind, 0) + count
-    for raw in delta.get("events", ()):
-        event = decode_event(raw)
-        if _ACTIVE.bind[1] is not None:
-            record_access(event.kind.value, event.table,
-                          event.partitions, event.node_groups)
-        if stats.keep_events:
-            stats.events.append(event)

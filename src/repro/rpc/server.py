@@ -51,7 +51,6 @@ from repro.ndb.config import NDBConfig
 from repro.ndb.locks import LockMode
 from repro.rpc import protocol
 from repro.rpc.conn import FrameConn
-from repro.rpc.protocol import StatsCursor
 
 #: stdout handshake line prefix the supervisor waits for
 READY_PREFIX = "REPRO-NDB-SERVE READY"
@@ -67,12 +66,16 @@ def _lock_mode(name: Optional[str]) -> LockMode:
 
 
 class _ConnState:
-    """Per-connection server state: one DAL session, its open txs."""
+    """Per-connection server state: one DAL session, its open txs.
+
+    Every transaction on the connection records into the session's
+    tally, which each transaction response drains (the stats delta).
+    """
 
     def __init__(self, session: Any) -> None:
         self.session = session
-        #: handle -> (transaction, stats cursor)
-        self.txs: dict[int, tuple[Any, StatsCursor]] = {}  # guarded_by: lock
+        #: handle -> transaction
+        self.txs: dict[int, Any] = {}  # guarded_by: lock
         self.lock = threading.Lock()  # conn thread vs shutdown-time abort
 
     def abort_all(self) -> int:
@@ -80,7 +83,7 @@ class _ConnState:
         with self.lock:
             victims = list(self.txs.values())
             self.txs.clear()
-        for tx, _cursor in victims:
+        for tx in victims:
             try:
                 tx.abort()
             except Exception:  # noqa: BLE001 - teardown is best effort
@@ -401,22 +404,22 @@ class NDBServer:
     # -- tx plumbing -----------------------------------------------------------
 
     def _get_tx(self, state: _ConnState,
-                params: Mapping[str, Any]) -> tuple[Any, StatsCursor]:
+                params: Mapping[str, Any]) -> Any:
         handle = params.get("tx")
         with state.lock:
-            entry = state.txs.get(handle)
-        if entry is None:
+            tx = state.txs.get(handle)
+        if tx is None:
             raise TransactionAbortedError(
                 f"unknown transaction handle {handle!r} "
                 "(aborted server-side or already finished)")
-        return entry
+        return tx
 
     def _pop_tx(self, state: _ConnState,
-                params: Mapping[str, Any]) -> tuple[Any, StatsCursor]:
-        entry = self._get_tx(state, params)
+                params: Mapping[str, Any]) -> Any:
+        tx = self._get_tx(state, params)
         with state.lock:
             state.txs.pop(params.get("tx"), None)
-        return entry
+        return tx
 
     # -- handlers: control plane -----------------------------------------------
 
@@ -478,21 +481,21 @@ class NDBServer:
         tx = state.session.begin(hint)
         handle = next(self._handles)
         with state.lock:
-            state.txs[handle] = (tx, StatsCursor())
+            state.txs[handle] = tx
         self._open_txs.inc(1)
         return {"tx": handle, "coordinator": getattr(tx, "coordinator", -1)}
 
     def _h_tx_read(self, state: _ConnState,
                    params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         row = tx.read(params["table"], protocol.decode_value(params["key"]),
                       lock=_lock_mode(params.get("lock")))
         return {"row": protocol.encode_value(row),
-                "stats": cursor.delta(tx.stats)}
+                "stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_read_batch(self, state: _ConnState,
                          params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         keys = [protocol.decode_value(k) for k in params["keys"]]
         locks = params.get("locks")
         # hfs: allow(HFS106, reason=server relays client-supplied keys verbatim; the ordering obligation is linted at the client call site)
@@ -501,62 +504,63 @@ class NDBServer:
                              locks=(None if locks is None else
                                     [_lock_mode(name) for name in locks]))
         return {"rows": [protocol.encode_value(r) for r in rows],
-                "stats": cursor.delta(tx.stats)}
+                "stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_ppis(self, state: _ConnState,
                    params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         rows = tx.ppis(params["table"],
                        protocol.decode_value(params["partition_values"]),
                        predicate=None,  # predicates filter client-side
                        lock=_lock_mode(params.get("lock")),
                        columns=params.get("columns"))
         return {"rows": [protocol.encode_value(r) for r in rows],
-                "stats": cursor.delta(tx.stats)}
+                "stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_index_scan(self, state: _ConnState,
                          params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         rows = tx.index_scan(params["table"], params["index"],
                              protocol.decode_value(params["values"]),
                              predicate=None,
                              lock=_lock_mode(params.get("lock")))
         return {"rows": [protocol.encode_value(r) for r in rows],
-                "stats": cursor.delta(tx.stats)}
+                "stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_full_scan(self, state: _ConnState,
                         params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         rows = tx.full_scan(params["table"], predicate=None)
         return {"rows": [protocol.encode_value(r) for r in rows],
-                "stats": cursor.delta(tx.stats)}
+                "stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_insert(self, state: _ConnState,
                      params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         tx.insert(params["table"], protocol.decode_value(params["row"]))
-        return {"stats": cursor.delta(tx.stats)}
+        return {"stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_update(self, state: _ConnState,
                      params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         tx.update(params["table"], protocol.decode_value(params["key"]),
                   protocol.decode_value(params["changes"]))
-        return {"stats": cursor.delta(tx.stats)}
+        return {"stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_write(self, state: _ConnState,
                     params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         tx.write(params["table"], protocol.decode_value(params["row"]))
-        return {"stats": cursor.delta(tx.stats)}
+        return {"stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_delete(self, state: _ConnState,
                      params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
+        tx = self._get_tx(state, params)
         existed = tx.delete(params["table"],
                             protocol.decode_value(params["key"]),
                             must_exist=params.get("must_exist", True))
-        return {"existed": existed, "stats": cursor.delta(tx.stats)}
+        return {"existed": existed,
+                "stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_commit(self, state: _ConnState,
                      params: Mapping[str, Any]) -> dict[str, Any]:
@@ -565,21 +569,21 @@ class NDBServer:
         # releases its row locks (the client's CommitAmbiguousError
         # resolves to: aborted)
         fault_point("rpc.server.commit.before", tx=params.get("tx"))
-        tx, cursor = self._pop_tx(state, params)
+        tx = self._pop_tx(state, params)
         self._open_txs.inc(-1)
         tx.commit()
         # "crash after the commit applied": the client sees the same
         # connection loss, but the commit is durable (resolves to:
         # committed) — the two sides of the ambiguity, by construction
         fault_point("rpc.server.commit.after", tx=params.get("tx"))
-        return {"stats": cursor.delta(tx.stats)}
+        return {"stats": protocol.stats_delta(tx.stats)}
 
     def _h_tx_abort(self, state: _ConnState,
                     params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._pop_tx(state, params)
+        tx = self._pop_tx(state, params)
         self._open_txs.inc(-1)
         tx.abort()
-        return {"stats": cursor.delta(tx.stats)}
+        return {"stats": protocol.stats_delta(tx.stats)}
 
     # -- handlers: observability -----------------------------------------------
 

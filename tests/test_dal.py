@@ -118,3 +118,5 @@ def test_stats_recorded(driver):
     session.run(lambda tx: tx.read("items", (1, "a")))
     assert session.stats.count(AccessKind.PK) == 1
     assert session.stats.count(AccessKind.COMMIT) >= 1
+    # the session tally keeps counters only, never event objects
+    assert session.stats.events == []

@@ -69,27 +69,36 @@ def test_unknown_error_type_degrades_to_remote_call_error():
                                "message": "exotic failure"})
 
 
-def test_stats_cursor_ships_only_the_delta():
+def test_stats_delta_ships_counters_only():
     stats = AccessStats(keep_events=True)
-    cursor = protocol.StatsCursor()
     stats.record(AccessEvent(kind=AccessKind.PK, table="kv",
                              partitions=(1,), nodes=(0,), coordinator=0,
                              rows=1, locked=False, write=False,
                              node_groups=(0,)))
-    first = cursor.delta(stats)
-    assert first["round_trips"] == 1 and first["rows_read"] == 1
-    assert len(first["events"]) == 1
+    stats.record(AccessEvent(kind=AccessKind.COMMIT, table="*",
+                             partitions=(1,), nodes=(0, 1), coordinator=0,
+                             rows=0, locked=False, write=False,
+                             node_groups=(0,)))
+    stats.rows_locked += 2
+    first = protocol.stats_delta(stats)
+    # counters and by-kind counts only: no event ever rides the wire
+    assert first == {"round_trips": 2, "rows_read": 1, "rows_locked": 2,
+                     "remote_partition_hops": 1,
+                     "by_kind": {"pk": 1, "commit": 1}}
 
-    # nothing new happened: the next delta is empty-ish
-    second = cursor.delta(stats)
-    assert second.get("round_trips", 0) == 0
-    assert not second.get("events")
+    # the tally was drained: nothing new happened, the next delta is empty
+    assert protocol.stats_delta(stats) == {}
 
     mirror = AccessStats(keep_events=True)
+    mirror.record(AccessEvent(kind=AccessKind.PK, table="kv",
+                              partitions=(0,), nodes=(0,), coordinator=0,
+                              rows=3))
     protocol.apply_stats_delta(mirror, first)
-    assert mirror.round_trips == stats.round_trips
-    assert mirror.rows_read == stats.rows_read
-    assert mirror.count(AccessKind.PK) == 1
+    assert (mirror.round_trips, mirror.rows_read, mirror.rows_written,
+            mirror.rows_locked, mirror.remote_partition_hops) == (3, 4, 0,
+                                                                  2, 1)
+    assert mirror.by_kind == {AccessKind.PK: 2, AccessKind.COMMIT: 1}
+    assert len(mirror.events) == 1  # the fold adds counters, not events
 
 
 # -- in-thread server integration ----------------------------------------------
@@ -242,6 +251,21 @@ def test_draining_server_rejects_new_transactions(server, driver):
         session.run(lambda tx: tx.read("kv", (0,)))
     server._draining = False
     assert session.run(lambda tx: tx.read("kv", (0,))["v"]) == 0
+
+
+def test_refused_begins_return_their_connection_to_the_pool(server,
+                                                           driver):
+    _fill(driver)
+    server._draining = True
+    session = driver.session()
+    dials = driver.reconnects
+    for _ in range(5):
+        with pytest.raises(ServerShutdownError):
+            session.begin()
+    server._draining = False
+    assert session.run(lambda tx: tx.read("kv", (0,))["v"]) == 0
+    # a typed refusal leaves the connection healthy: no redial needed
+    assert driver.reconnects == dials
 
 
 def test_graceful_stop_drains_in_flight_transaction(server, driver):

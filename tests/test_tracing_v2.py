@@ -552,6 +552,39 @@ class TestDistributedTracing:
             yield node
             stack.extend(node.children or ())
 
+    @staticmethod
+    def warm_stat_db_events(fs):
+        """(db.* events in a warm traced stat, its round-trip delta)."""
+        nn = fs.namenodes[0]
+        nn.mkdirs("/once/a")
+        nn.create("/once/a/f")
+        nn.get_file_info("/once/a/f")  # warms the hint cache
+        before = nn.metrics.get_counter("db_round_trips_total")
+        nn.get_file_info("/once/a/f")
+        round_trips = nn.metrics.get_counter("db_round_trips_total") - before
+        trace = [t for t in nn.tracer.recent() if t.op == "stat"][-1]
+        events = [e.name for e in trace.events() if e.name.startswith("db.")]
+        return events, round_trips
+
+    def test_one_db_event_per_round_trip_over_rpc(self):
+        fs, driver, server, _pid = self.make_remote_fs(sample_every=1)
+        try:
+            remote_events, remote_trips = self.warm_stat_db_events(fs)
+        finally:
+            driver.close()
+            server.stop()
+        embedded = HopsFSCluster(
+            num_namenodes=1, num_datanodes=3,
+            config=HopsFSConfig(clock=ManualClock(), trace_sample_every=1),
+            ndb_config=NDBConfig(num_datanodes=4, replication=2,
+                                 lock_timeout=1.0))
+        embedded_events, embedded_trips = self.warm_stat_db_events(embedded)
+        # the server's grafted tree records each round trip once; the
+        # client must not replay it a second time
+        assert len(remote_events) == remote_trips
+        assert remote_events == embedded_events
+        assert remote_trips == embedded_trips
+
     def test_unsampled_ops_carry_no_trace_envelope(self):
         fs, driver, server, _pid = self.make_remote_fs(sample_every=0)
         try:
